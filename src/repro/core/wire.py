@@ -14,7 +14,7 @@ partially-parsed objects (these inputs arrive from untrusted parties).
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.core.lhe import LheCiphertext
 from repro.crypto.bfe import BfeCiphertext
@@ -396,11 +396,12 @@ def decode_decrypt_request(data: bytes):
 # ---------------------------------------------------------------------------
 # Every provider interaction crosses the untrusted operator's network, so
 # the whole surface is framed: ``[version u8][op u8][body]`` requests and
-# ``[version u8][kind u8][body]`` replies, with bodies described by the
-# per-op field schemas below.  Inclusion proofs ride the same tagged
-# PROOF_PLAIN/PROOF_SHARDED envelope as the client->HSM leg, and failures
-# travel as typed PROV_REPLY_ERROR frames — a provider can answer with an
-# error *status*, never with a live Python exception.
+# ``[version u8][kind u8][body]`` replies.  Request bodies follow the
+# op's row in :data:`PROVIDER_OPS`, reply bodies the reply-kind schemas.
+# Inclusion proofs ride the same tagged PROOF_PLAIN/PROOF_SHARDED envelope
+# as the client->HSM leg, and failures travel as typed PROV_REPLY_ERROR
+# frames — a provider can answer with an error *status*, never with a live
+# Python exception.
 
 #: Request op tags, one per method of the provider surface.
 PROV_UPLOAD_BACKUP = 1
@@ -531,34 +532,61 @@ _FIELD_DECODERS = {
     "err_status": _decode_err_status,
 }
 
+
+class ProviderOp(NamedTuple):
+    """One provider RPC: its request tag, the provider method it calls, the
+    request fields in argument order, its reply kind, and the defaults of
+    its trailing arguments."""
+
+    tag: int
+    method: str
+    request: Tuple[Tuple[str, str], ...]
+    reply: int
+    defaults: Tuple = ()
+
+
+#: The provider RPC surface, declared once: the request schemas, the
+#: channel methods and the endpoint dispatch are all derived from it.
+PROVIDER_OPS: Tuple[ProviderOp, ...] = (
+    ProviderOp(PROV_UPLOAD_BACKUP, "upload_backup",
+               (("username", "text"), ("ciphertext", "recovery_ct")), PROV_REPLY_COUNT),
+    ProviderOp(PROV_FETCH_BACKUP, "fetch_backup",
+               (("username", "text"), ("index", "i32")), PROV_REPLY_BACKUP, defaults=(-1,)),
+    ProviderOp(PROV_BACKUP_COUNT, "backup_count",
+               (("username", "text"),), PROV_REPLY_COUNT),
+    ProviderOp(PROV_UPLOAD_INCREMENTAL, "upload_incremental",
+               (("username", "text"), ("blob", "blob")), PROV_REPLY_ACK),
+    ProviderOp(PROV_FETCH_INCREMENTALS, "fetch_incrementals",
+               (("username", "text"),), PROV_REPLY_BLOBS),
+    ProviderOp(PROV_NEXT_ATTEMPT, "next_attempt_number",
+               (("username", "text"),), PROV_REPLY_COUNT),
+    ProviderOp(PROV_RESERVE_ATTEMPT, "reserve_attempt_number",
+               (("username", "text"),), PROV_REPLY_COUNT),
+    ProviderOp(PROV_LOG_ATTEMPT, "log_recovery_attempt",
+               (("username", "text"), ("attempt", "u32"), ("commitment", "blob")),
+               PROV_REPLY_LOGGED),
+    ProviderOp(PROV_LOG_AND_PROVE, "log_and_prove",
+               (("username", "text"), ("attempt", "u32"), ("commitment", "blob")),
+               PROV_REPLY_PROVEN),
+    ProviderOp(PROV_PROVE_INCLUSION, "prove_inclusion",
+               (("identifier", "blob"), ("value", "blob")), PROV_REPLY_PROOF),
+    ProviderOp(PROV_SHARE_PHASE_DONE, "share_phase_done",
+               (("username", "text"), ("attempt", "u32")), PROV_REPLY_ACK),
+    ProviderOp(PROV_STORE_REPLY, "store_reply",
+               (("username", "text"), ("attempt", "u32"), ("reply", "blob")),
+               PROV_REPLY_ACK),
+    ProviderOp(PROV_FETCH_REPLIES, "fetch_replies",
+               (("username", "text"), ("attempt", "u32")), PROV_REPLY_BLOBS),
+    ProviderOp(PROV_LIST_ATTEMPTS, "recovery_attempts_for",
+               (("username", "text"),), PROV_REPLY_ENTRIES),
+)
+
+#: Request tag -> its :class:`ProviderOp` row.
+PROVIDER_OPS_BY_TAG: Dict[int, ProviderOp] = {op.tag: op for op in PROVIDER_OPS}
+
 #: Body schema per request op: ordered (field name, field kind) pairs.
 PROVIDER_REQUEST_SCHEMAS: Dict[int, Tuple[Tuple[str, str], ...]] = {
-    PROV_UPLOAD_BACKUP: (("username", "text"), ("ciphertext", "recovery_ct")),
-    PROV_FETCH_BACKUP: (("username", "text"), ("index", "i32")),
-    PROV_BACKUP_COUNT: (("username", "text"),),
-    PROV_UPLOAD_INCREMENTAL: (("username", "text"), ("blob", "blob")),
-    PROV_FETCH_INCREMENTALS: (("username", "text"),),
-    PROV_NEXT_ATTEMPT: (("username", "text"),),
-    PROV_RESERVE_ATTEMPT: (("username", "text"),),
-    PROV_LOG_ATTEMPT: (
-        ("username", "text"),
-        ("attempt", "u32"),
-        ("commitment", "blob"),
-    ),
-    PROV_LOG_AND_PROVE: (
-        ("username", "text"),
-        ("attempt", "u32"),
-        ("commitment", "blob"),
-    ),
-    PROV_PROVE_INCLUSION: (("identifier", "blob"), ("value", "blob")),
-    PROV_SHARE_PHASE_DONE: (("username", "text"), ("attempt", "u32")),
-    PROV_STORE_REPLY: (
-        ("username", "text"),
-        ("attempt", "u32"),
-        ("reply", "blob"),
-    ),
-    PROV_FETCH_REPLIES: (("username", "text"), ("attempt", "u32")),
-    PROV_LIST_ATTEMPTS: (("username", "text"),),
+    op.tag: op.request for op in PROVIDER_OPS
 }
 
 #: Body schema per reply kind.

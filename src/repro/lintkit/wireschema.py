@@ -1,24 +1,22 @@
 """Wire-schema consistency pass: the frame catalog is closed and complete.
 
-The provider RPC surface is a *closed* catalog: every request op and reply
-kind declared in ``core/wire.py`` must be wired through four places that
-are trivially easy to forget when adding a frame —
+The provider RPC surface is declared once, as the ``PROVIDER_OPS`` table
+in ``core/wire.py``; the request schemas, the channel methods and the
+endpoint dispatch are derived from it.  What the table cannot make true by
+construction is checked here, by cross-reading the ASTs:
 
-1. a body schema (``PROVIDER_REQUEST_SCHEMAS`` / ``PROVIDER_REPLY_SCHEMAS``)
-   whose field kinds all have an encoder *and* a decoder;
-2. a dispatch arm in the provider endpoint's ``_PROVIDER_RPC_HANDLERS``
-   table (``service/channel.py``);
-3. a hypothesis strategy for every field kind in
-   ``tests/test_wire_properties.py`` (``_FIELD_STRATEGIES``), so the fuzz
-   suite actually generates the frame;
-4. a row in the ARCHITECTURE.md frame catalog (request ops only; the
-   table's reply column uses the short kind names).
+1. tag values are unique within each namespace (request op, reply kind,
+   error status), and every error status is listed in
+   ``_PROVIDER_ERROR_STATUSES``;
+2. every declared ``PROV_*`` request tag has exactly one ``PROVIDER_OPS``
+   row;
+3. every field kind used by an op row or a reply schema has an encoder, a
+   decoder, and a hypothesis strategy in ``tests/test_wire_properties.py``
+   (``_FIELD_STRATEGIES``), so the fuzz suite actually generates it;
+4. every request op has a row in the ARCHITECTURE.md frame catalog.
 
-All of that is checked statically by cross-reading the ASTs, with every
-finding anchored in ``wire.py`` where the tag is declared.  Error-status
-tags must additionally appear in ``_PROVIDER_ERROR_STATUSES``, and tag
-values must be unique within each namespace.  Rule id: ``wire-schema``
-(suppression alias ``wire``).
+Every finding is anchored in ``wire.py`` where the tag or kind is declared.
+Rule id: ``wire-schema`` (suppression alias ``wire``).
 """
 
 from __future__ import annotations
@@ -27,15 +25,6 @@ import ast
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lintkit.engine import Finding, LintPass, ScanContext, SourceFile
-
-
-class _Tag:
-    __slots__ = ("name", "value", "line")
-
-    def __init__(self, name: str, value: int, line: int) -> None:
-        self.name = name
-        self.value = value
-        self.line = line
 
 
 class WireSchemaPass(LintPass):
@@ -47,12 +36,10 @@ class WireSchemaPass(LintPass):
     def __init__(
         self,
         wire_rel: str = "src/repro/core/wire.py",
-        channel_rel: str = "src/repro/service/channel.py",
         tests_rel: str = "tests/test_wire_properties.py",
         docs_rel: str = "docs/ARCHITECTURE.md",
     ) -> None:
         self._wire_rel = wire_rel
-        self._channel_rel = channel_rel
         self._tests_rel = tests_rel
         self._docs_rel = docs_rel
 
@@ -62,59 +49,32 @@ class WireSchemaPass(LintPass):
             return []  # nothing to check in this tree (e.g. fixture scans)
         model = _WireModel(wire)
         findings = model.self_checks()
-        findings += self._check_channel(ctx, model)
         findings += self._check_strategies(ctx, model)
         findings += self._check_docs(ctx, model)
         return sorted(set(findings))
 
-    # -- companions -------------------------------------------------------------
-    def _check_channel(self, ctx: ScanContext, model: "_WireModel") -> List[Finding]:
-        channel = ctx.get(self._channel_rel) or ctx.load(self._channel_rel)
-        if channel is None or channel.tree is None:
-            return [model.finding(
-                f"cannot cross-check dispatch arms: {self._channel_rel} not found"
-            )]
-        handled = _dict_key_names(channel.tree, "_PROVIDER_RPC_HANDLERS")
-        if handled is None:
-            return [model.finding(
-                f"{self._channel_rel} has no _PROVIDER_RPC_HANDLERS table"
-            )]
-        findings = []
-        for tag in model.requests.values():
-            if tag.name not in handled:
-                findings.append(model.finding(
-                    f"request op {tag.name} has no dispatch arm in"
-                    f" _PROVIDER_RPC_HANDLERS ({self._channel_rel})",
-                    line=tag.line,
-                ))
-        for name in sorted(handled - set(model.requests)):
-            findings.append(model.finding(
-                f"_PROVIDER_RPC_HANDLERS dispatches unknown op {name}"
-                f" (not a declared request tag)"
-            ))
-        return findings
-
     def _check_strategies(self, ctx: ScanContext, model: "_WireModel") -> List[Finding]:
         tests = ctx.get(self._tests_rel) or ctx.load(self._tests_rel)
-        if tests is None or tests.tree is None:
-            return [model.finding(
-                f"cannot cross-check fuzz strategies: {self._tests_rel} not found"
-            )]
-        strategies = _dict_key_strings(tests.tree, "_FIELD_STRATEGIES")
+        strategies = next((
+            _dict_key_strings(node.value)
+            for node in (tests.tree.body if tests and tests.tree else ())
+            if _single_target(node) == "_FIELD_STRATEGIES"
+        ), None)
         if strategies is None:
             return [model.finding(
-                f"{self._tests_rel} has no _FIELD_STRATEGIES table"
+                f"cannot cross-check fuzz strategies: no _FIELD_STRATEGIES"
+                f" table in {self._tests_rel}"
             )]
-        findings = []
-        for kind, line in sorted(model.field_kinds.items()):
-            if kind not in strategies:
-                findings.append(model.finding(
-                    f"field kind '{kind}' has no hypothesis strategy in"
-                    f" _FIELD_STRATEGIES ({self._tests_rel}) — the fuzz suite"
-                    " will never generate it",
-                    line=line,
-                ))
-        return findings
+        return [
+            model.finding(
+                f"field kind '{kind}' has no hypothesis strategy in"
+                f" _FIELD_STRATEGIES ({self._tests_rel}) — the fuzz suite"
+                " will never generate it",
+                line=line,
+            )
+            for kind, line in sorted(model.field_kinds.items())
+            if kind not in strategies
+        ]
 
     def _check_docs(self, ctx: ScanContext, model: "_WireModel") -> List[Finding]:
         path = ctx.root / self._docs_rel
@@ -125,14 +85,13 @@ class WireSchemaPass(LintPass):
         table_rows = [
             line for line in path.read_text().splitlines() if line.lstrip().startswith("|")
         ]
-        findings = []
-        for tag in model.requests.values():
-            if not any(f"`{tag.name}`" in row for row in table_rows):
-                findings.append(model.finding(
-                    f"request op {tag.name} has no catalog row in {self._docs_rel}",
-                    line=tag.line,
-                ))
-        return findings
+        return [
+            model.finding(
+                f"request op {name} has no catalog row in {self._docs_rel}", line=line
+            )
+            for name, (_, line) in model.requests.items()
+            if not any(f"`{name}`" in row for row in table_rows)
+        ]
 
 
 class _WireModel:
@@ -140,21 +99,20 @@ class _WireModel:
 
     def __init__(self, source: SourceFile) -> None:
         self.source = source
-        self.requests: Dict[str, _Tag] = {}
-        self.replies: Dict[str, _Tag] = {}
-        self.errors: Dict[str, _Tag] = {}
+        # One table per tag namespace: tag name -> (value, declaring line).
+        self.requests: Dict[str, Tuple[int, int]] = {}
+        self.replies: Dict[str, Tuple[int, int]] = {}
+        self.errors: Dict[str, Tuple[int, int]] = {}
         self.error_statuses: Optional[Set[str]] = None
         self.encoders: Optional[Set[str]] = None
         self.decoders: Optional[Set[str]] = None
-        self.request_schemas: Optional[Dict[str, int]] = None  # op name -> line
-        self.reply_schemas: Optional[Dict[str, int]] = None
+        self.op_rows: Optional[List[str]] = None  # the request tag of each row
         self.field_kinds: Dict[str, int] = {}  # kind -> first declaring line
         self._scan(source.tree)
 
     def finding(self, message: str, line: int = 1) -> Finding:
         return Finding(path=self.source.rel, line=line, rule="wire-schema", message=message)
 
-    # -- AST extraction ---------------------------------------------------------
     def _scan(self, tree: ast.Module) -> None:
         for node in tree.body:
             target = _single_target(node)
@@ -163,53 +121,42 @@ class _WireModel:
             value = node.value
             if target.startswith("PROV_") and isinstance(value, ast.Constant) \
                     and isinstance(value.value, int):
-                tag = _Tag(target, value.value, node.lineno)
                 if target.startswith("PROV_REPLY_"):
-                    self.replies[target] = tag
+                    table = self.replies
                 elif target.startswith("PROV_ERR_"):
-                    self.errors[target] = tag
+                    table = self.errors
                 else:
-                    self.requests[target] = tag
+                    table = self.requests
+                table[target] = (value.value, node.lineno)
             elif target == "_PROVIDER_ERROR_STATUSES" and isinstance(
                 value, (ast.Tuple, ast.List)
             ):
                 self.error_statuses = {
                     elt.id for elt in value.elts if isinstance(elt, ast.Name)
                 }
-            elif target in ("_FIELD_ENCODERS", "_FIELD_DECODERS") and isinstance(
-                value, ast.Dict
+            elif target == "_FIELD_ENCODERS":
+                self.encoders = _dict_key_strings(value)
+            elif target == "_FIELD_DECODERS":
+                self.decoders = _dict_key_strings(value)
+            elif target == "PROVIDER_OPS" and isinstance(value, (ast.Tuple, ast.List)):
+                self.op_rows = [
+                    row.args[0].id for row in value.elts
+                    if isinstance(row, ast.Call) and row.args
+                    and isinstance(row.args[0], ast.Name)
+                ]
+                self._collect_kinds(value)
+            elif target == "PROVIDER_REPLY_SCHEMAS":
+                self._collect_kinds(value)
+
+    def _collect_kinds(self, value: ast.expr) -> None:
+        """Record the kind of every ``(name, kind)`` string pair under ``value``."""
+        for pair in ast.walk(value):
+            if isinstance(pair, ast.Tuple) and len(pair.elts) == 2 and all(
+                isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                for elt in pair.elts
             ):
-                keys = {
-                    key.value
-                    for key in value.keys
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
-                }
-                if target == "_FIELD_ENCODERS":
-                    self.encoders = keys
-                else:
-                    self.decoders = keys
-            elif target in ("PROVIDER_REQUEST_SCHEMAS", "PROVIDER_REPLY_SCHEMAS") \
-                    and isinstance(value, ast.Dict):
-                table: Dict[str, int] = {}
-                for key, body in zip(value.keys, value.values):
-                    if isinstance(key, ast.Name):
-                        table[key.id] = key.lineno
-                    self._collect_kinds(body)
-                if target == "PROVIDER_REQUEST_SCHEMAS":
-                    self.request_schemas = table
-                else:
-                    self.reply_schemas = table
+                self.field_kinds.setdefault(pair.elts[1].value, pair.lineno)
 
-    def _collect_kinds(self, body: ast.expr) -> None:
-        if not isinstance(body, (ast.Tuple, ast.List)):
-            return
-        for pair in body.elts:
-            if isinstance(pair, (ast.Tuple, ast.List)) and len(pair.elts) == 2:
-                kind = pair.elts[1]
-                if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
-                    self.field_kinds.setdefault(kind.value, kind.lineno)
-
-    # -- intra-file checks --------------------------------------------------------
     def self_checks(self) -> List[Finding]:
         findings: List[Finding] = []
         for label, tags in (
@@ -217,68 +164,41 @@ class _WireModel:
             ("reply kind", self.replies),
             ("error status", self.errors),
         ):
-            seen: Dict[int, _Tag] = {}
-            for tag in tags.values():
-                other = seen.get(tag.value)
-                if other is not None:
+            seen: Dict[int, str] = {}
+            for name, (value, line) in tags.items():
+                if value in seen:
                     findings.append(self.finding(
-                        f"{label} {tag.name} reuses tag value {tag.value}"
-                        f" (already taken by {other.name})",
-                        line=tag.line,
+                        f"{label} {name} reuses tag value {value}"
+                        f" (already taken by {seen[value]})",
+                        line=line,
                     ))
                 else:
-                    seen[tag.value] = tag
-        findings += self._check_schema_table(
-            "request op", self.requests, self.request_schemas, "PROVIDER_REQUEST_SCHEMAS"
-        )
-        findings += self._check_schema_table(
-            "reply kind", self.replies, self.reply_schemas, "PROVIDER_REPLY_SCHEMAS"
-        )
+                    seen[value] = name
+        if self.op_rows is None:
+            findings.append(self.finding("PROVIDER_OPS table not found or not a tuple literal"))
+        else:
+            for name, (_, line) in self.requests.items():
+                count = self.op_rows.count(name)
+                if count != 1:
+                    rows = f"{count} PROVIDER_OPS rows" if count else "no PROVIDER_OPS row"
+                    findings.append(self.finding(f"request op {name} has {rows}", line=line))
         if self.error_statuses is not None:
-            for tag in self.errors.values():
-                if tag.name not in self.error_statuses:
+            for name, (_, line) in self.errors.items():
+                if name not in self.error_statuses:
                     findings.append(self.finding(
-                        f"error status {tag.name} is missing from"
+                        f"error status {name} is missing from"
                         " _PROVIDER_ERROR_STATUSES (decoders will reject it)",
-                        line=tag.line,
+                        line=line,
                     ))
         for kind, line in sorted(self.field_kinds.items()):
-            if self.encoders is not None and kind not in self.encoders:
-                findings.append(self.finding(
-                    f"field kind '{kind}' has no entry in _FIELD_ENCODERS",
-                    line=line,
-                ))
-            if self.decoders is not None and kind not in self.decoders:
-                findings.append(self.finding(
-                    f"field kind '{kind}' has no entry in _FIELD_DECODERS",
-                    line=line,
-                ))
+            for table_name, table in (
+                ("_FIELD_ENCODERS", self.encoders), ("_FIELD_DECODERS", self.decoders)
+            ):
+                if table is not None and kind not in table:
+                    findings.append(self.finding(
+                        f"field kind '{kind}' has no entry in {table_name}", line=line
+                    ))
         return findings
-
-    def _check_schema_table(
-        self,
-        label: str,
-        tags: Dict[str, _Tag],
-        table: Optional[Dict[str, int]],
-        table_name: str,
-    ) -> List[Finding]:
-        if table is None:
-            return [self.finding(f"{table_name} table not found or not a dict literal")]
-        findings = []
-        for tag in tags.values():
-            if tag.name not in table:
-                findings.append(self.finding(
-                    f"{label} {tag.name} has no body schema in {table_name}",
-                    line=tag.line,
-                ))
-        for name, line in sorted(table.items()):
-            if name not in tags:
-                findings.append(self.finding(
-                    f"{table_name} has a schema for undeclared tag {name}",
-                    line=line,
-                ))
-        return findings
-
 
 def _single_target(node: ast.stmt) -> Optional[str]:
     """Name of a simple module-level ``NAME = ...`` / annotated assignment."""
@@ -291,23 +211,8 @@ def _single_target(node: ast.stmt) -> Optional[str]:
     return None
 
 
-def _dict_key_names(tree: ast.Module, table_name: str) -> Optional[Set[str]]:
-    """Keys of a module-level dict literal, as bare/attribute tag names."""
-    value = _module_value(tree, table_name)
-    if not isinstance(value, ast.Dict):
-        return None
-    names: Set[str] = set()
-    for key in value.keys:
-        if isinstance(key, ast.Attribute):
-            names.add(key.attr)
-        elif isinstance(key, ast.Name):
-            names.add(key.id)
-    return names
-
-
-def _dict_key_strings(tree: ast.Module, table_name: str) -> Optional[Set[str]]:
-    """Keys of a module-level dict literal, as string constants."""
-    value = _module_value(tree, table_name)
+def _dict_key_strings(value: Optional[ast.expr]) -> Optional[Set[str]]:
+    """Keys of a dict literal, as string constants (None if not a dict)."""
     if not isinstance(value, ast.Dict):
         return None
     return {
@@ -315,10 +220,3 @@ def _dict_key_strings(tree: ast.Module, table_name: str) -> Optional[Set[str]]:
         for key in value.keys
         if isinstance(key, ast.Constant) and isinstance(key.value, str)
     }
-
-
-def _module_value(tree: ast.Module, name: str) -> Optional[ast.expr]:
-    for node in tree.body:
-        if _single_target(node) == name:
-            return node.value
-    return None

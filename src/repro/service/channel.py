@@ -9,7 +9,8 @@ untrusted provider's network) is real in the reproduction too.
 
 A :class:`ProviderChannel` is the same idea for the client ↔ provider leg:
 backup upload/fetch, incremental blobs, attempt reservation, log-and-prove,
-inclusion-proof refresh, and reply escrow.  The default transport
+inclusion-proof refresh, and reply escrow.  Its methods are generated from
+the one op table, ``repro.core.wire.PROVIDER_OPS``.  The default transport
 (:class:`WireProviderChannel` over a :class:`ProviderWireEndpoint`) frames
 every call through the tagged provider RPC encoding in ``repro.core.wire``;
 failures come back as typed ``PROV_REPLY_ERROR`` frames and are re-raised
@@ -38,8 +39,9 @@ device's single FIFO worker, as the service does.
 
 from __future__ import annotations
 
+import inspect
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 from repro.core import wire
 from repro.core.provider import ProviderError
@@ -51,6 +53,7 @@ from repro.hsm.device import (
     HsmStaleProofError,
     HsmUnavailableError,
 )
+from repro.service.batcher import ServiceTimeout
 
 #: Maps an HSM index to the Channel reaching that device.
 ChannelFactory = Callable[[int], "Channel"]
@@ -120,44 +123,47 @@ class HsmWireEndpoint:
 
 
 class WireChannel(Channel):
-    """Default transport: every request/reply round-trips through bytes."""
+    """Default transport: every request/reply round-trips through bytes.
 
-    def __init__(self, endpoint: HsmWireEndpoint) -> None:
-        self._endpoint = endpoint
+    ``transport`` is any ``bytes -> bytes`` callable (an endpoint's
+    ``handle_decrypt_share`` or a fault-injecting wrapper); an
+    :class:`HsmWireEndpoint` is accepted and used through that method.
+    """
+
+    def __init__(self, transport) -> None:
+        if isinstance(transport, HsmWireEndpoint):
+            transport = transport.handle_decrypt_share
+        self._transport: Callable[[bytes], bytes] = transport
 
     def decrypt_share(self, request: DecryptShareRequest) -> ElGamalCiphertext:
         """Round-trip through bytes; re-raise error statuses client-side."""
-        reply_bytes = self._endpoint.handle_decrypt_share(
-            wire.encode_decrypt_request(request)
-        )
+        reply_bytes = self._transport(wire.encode_decrypt_request(request))
         status, payload = wire.decode_decrypt_reply(reply_bytes)
         if status == wire.REPLY_OK:
             return payload
         raise _STATUS_EXCEPTIONS[status](payload)
 
 
-def wire_channels(devices: Sequence) -> ChannelFactory:
-    """A factory of wire channels over an indexable device collection."""
-    cache: Dict[int, WireChannel] = {}
+def _memoized(make: Callable[[int], Channel]) -> ChannelFactory:
+    """A factory that builds each index's channel once and then reuses it."""
+    cache: Dict[int, Channel] = {}
 
     def factory(index: int) -> Channel:
         if index not in cache:
-            cache[index] = WireChannel(HsmWireEndpoint(devices[index]))
+            cache[index] = make(index)
         return cache[index]
 
     return factory
+
+
+def wire_channels(devices: Sequence) -> ChannelFactory:
+    """A factory of wire channels over an indexable device collection."""
+    return _memoized(lambda index: WireChannel(HsmWireEndpoint(devices[index])))
 
 
 def direct_channels(devices: Sequence) -> ChannelFactory:
     """A factory of direct (no serialization) channels."""
-    cache: Dict[int, DirectChannel] = {}
-
-    def factory(index: int) -> Channel:
-        if index not in cache:
-            cache[index] = DirectChannel(devices[index])
-        return cache[index]
-
-    return factory
+    return _memoized(lambda index: DirectChannel(devices[index]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,67 +172,17 @@ def direct_channels(devices: Sequence) -> ChannelFactory:
 class ProviderChannel:
     """Narrow interface between a client and the service provider.
 
-    One method per RPC op of the provider surface (the frame catalog in
-    ``repro.core.wire``).  Client code holds a ProviderChannel, never a
-    live :class:`~repro.core.provider.ServiceProvider`.
+    One method per row of ``wire.PROVIDER_OPS`` (backup upload/fetch,
+    incrementals, attempt numbering, log-and-prove, proof refresh, reply
+    escrow), generated by :func:`_rpc_method`.  Each binds its arguments,
+    defaults applied, into a tuple in request-schema order and hands it to
+    :meth:`_invoke`, the one method a transport implements.  Client code
+    holds a ProviderChannel, never a live
+    :class:`~repro.core.provider.ServiceProvider`.
     """
 
-    def upload_backup(self, username: str, ciphertext) -> int:
-        """Store a recovery ciphertext; returns its per-user index."""
-        raise NotImplementedError
-
-    def fetch_backup(self, username: str, index: int = -1):
-        """Fetch one stored recovery ciphertext (default: newest)."""
-        raise NotImplementedError
-
-    def backup_count(self, username: str) -> int:
-        """How many recovery ciphertexts the provider holds for a user."""
-        raise NotImplementedError
-
-    def upload_incremental(self, username: str, blob: bytes) -> None:
-        """Append one AE-encrypted incremental backup blob (§8)."""
-        raise NotImplementedError
-
-    def fetch_incrementals(self, username: str) -> List[bytes]:
-        """All incremental blobs stored for a user, oldest first."""
-        raise NotImplementedError
-
-    def next_attempt_number(self, username: str) -> int:
-        """First unused attempt slot for a user in the current log."""
-        raise NotImplementedError
-
-    def reserve_attempt_number(self, username: str) -> int:
-        """Atomically claim the next attempt slot for a user."""
-        raise NotImplementedError
-
-    def log_recovery_attempt(
-        self, username: str, attempt: int, commitment: bytes
-    ) -> bytes:
-        """Queue (rec|user|attempt -> commitment) for the next epoch."""
-        raise NotImplementedError
-
-    def log_and_prove(self, username: str, attempt: int, commitment: bytes):
-        """Insert, wait for an epoch, return ``(identifier, proof)``."""
-        raise NotImplementedError
-
-    def prove_inclusion(self, identifier: bytes, value: bytes):
-        """A fresh proof against the current digest (None if uncommitted)."""
-        raise NotImplementedError
-
-    def share_phase_done(self, username: str, attempt: int) -> None:
-        """Liveness hint: this attempt's share phase is over."""
-        raise NotImplementedError
-
-    def store_reply(self, username: str, attempt: int, encrypted_reply: bytes) -> None:
-        """Escrow one encrypted HSM reply for device-failure recovery (§8)."""
-        raise NotImplementedError
-
-    def fetch_replies(self, username: str, attempt: int) -> List[bytes]:
-        """All escrowed replies for one recovery attempt."""
-        raise NotImplementedError
-
-    def recovery_attempts_for(self, username: str) -> List[Tuple[bytes, bytes]]:
-        """All logged attempts for a user (what a monitoring client checks)."""
+    def _invoke(self, op: wire.ProviderOp, args: Tuple) -> Any:
+        """Carry out one provider RPC and return its reply value."""
         raise NotImplementedError
 
 
@@ -240,70 +196,15 @@ class DirectProviderChannel(ProviderChannel):
     def __init__(self, provider) -> None:
         self._provider = provider
 
-    def upload_backup(self, username: str, ciphertext) -> int:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.upload_backup(username, ciphertext)
-
-    def fetch_backup(self, username: str, index: int = -1):
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.fetch_backup(username, index)
-
-    def backup_count(self, username: str) -> int:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.backup_count(username)
-
-    def upload_incremental(self, username: str, blob: bytes) -> None:
-        """Delegate to the provider object (no serialization)."""
-        self._provider.upload_incremental(username, blob)
-
-    def fetch_incrementals(self, username: str) -> List[bytes]:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.fetch_incrementals(username)
-
-    def next_attempt_number(self, username: str) -> int:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.next_attempt_number(username)
-
-    def reserve_attempt_number(self, username: str) -> int:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.reserve_attempt_number(username)
-
-    def log_recovery_attempt(
-        self, username: str, attempt: int, commitment: bytes
-    ) -> bytes:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.log_recovery_attempt(username, attempt, commitment)
-
-    def log_and_prove(self, username: str, attempt: int, commitment: bytes):
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.log_and_prove(username, attempt, commitment)
-
-    def prove_inclusion(self, identifier: bytes, value: bytes):
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.prove_inclusion(identifier, value)
-
-    def share_phase_done(self, username: str, attempt: int) -> None:
-        """Delegate to the provider object (no serialization)."""
-        self._provider.share_phase_done(username, attempt)
-
-    def store_reply(self, username: str, attempt: int, encrypted_reply: bytes) -> None:
-        """Delegate to the provider object (no serialization)."""
-        self._provider.store_reply(username, attempt, encrypted_reply)
-
-    def fetch_replies(self, username: str, attempt: int) -> List[bytes]:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.fetch_replies(username, attempt)
-
-    def recovery_attempts_for(self, username: str) -> List[Tuple[bytes, bytes]]:
-        """Delegate to the provider object (no serialization)."""
-        return self._provider.recovery_attempts_for(username)
+    def _invoke(self, op: wire.ProviderOp, args: Tuple) -> Any:
+        return getattr(self._provider, op.method)(*args)
 
 
 class ProviderWireEndpoint:
     """Provider-side half of the wire transport: bytes in, bytes out.
 
-    Decodes each request frame, dispatches to the provider surface, and
-    encodes the outcome.  *Every* failure becomes a typed error frame:
+    Decodes each request frame, calls the provider method its op names,
+    and encodes the outcome.  *Every* failure becomes a typed error frame:
     malformed requests answer ``PROV_ERR_BAD_REQUEST``, provider refusals
     answer ``PROV_ERR_PROVIDER``, epoch timeouts answer
     ``PROV_ERR_TIMEOUT``, and — defense in depth — a raw ``KeyError`` /
@@ -316,18 +217,18 @@ class ProviderWireEndpoint:
 
     def handle(self, request_bytes: bytes) -> bytes:
         """Serve one framed request; always returns a reply frame."""
-        from repro.service.batcher import ServiceTimeout
-
         try:
-            op, fields = wire.decode_provider_request(request_bytes)
+            tag, fields = wire.decode_provider_request(request_bytes)
         except wire.WireFormatError as exc:
             return wire.encode_provider_error(wire.PROV_ERR_BAD_REQUEST, str(exc))
+        op = wire.PROVIDER_OPS_BY_TAG[tag]
         try:
-            kind, reply = _PROVIDER_RPC_HANDLERS[op](self._provider, fields)
+            # Decoded fields come back in schema order, i.e. argument order.
+            result = getattr(self._provider, op.method)(*fields.values())
             # Encoding inside the try: a provider returning an
             # out-of-contract value (unencodable field) must also answer
             # with an error frame, not crash the connection handler.
-            return wire.encode_provider_reply(kind, reply)
+            return wire.encode_provider_reply(op.reply, _reply_fields(op.reply, result))
         except ServiceTimeout as exc:
             return wire.encode_provider_error(wire.PROV_ERR_TIMEOUT, str(exc))
         except (ProviderError, wire.WireFormatError) as exc:
@@ -338,79 +239,20 @@ class ProviderWireEndpoint:
             )
 
 
-#: op -> handler(provider, fields) -> (reply kind, reply fields).
-_PROVIDER_RPC_HANDLERS = {
-    wire.PROV_UPLOAD_BACKUP: lambda p, f: (
-        wire.PROV_REPLY_COUNT,
-        {"value": p.upload_backup(f["username"], f["ciphertext"])},
-    ),
-    wire.PROV_FETCH_BACKUP: lambda p, f: (
-        wire.PROV_REPLY_BACKUP,
-        {"ciphertext": p.fetch_backup(f["username"], f["index"])},
-    ),
-    wire.PROV_BACKUP_COUNT: lambda p, f: (
-        wire.PROV_REPLY_COUNT,
-        {"value": p.backup_count(f["username"])},
-    ),
-    wire.PROV_UPLOAD_INCREMENTAL: lambda p, f: (
-        wire.PROV_REPLY_ACK,
-        _ack(p.upload_incremental(f["username"], f["blob"])),
-    ),
-    wire.PROV_FETCH_INCREMENTALS: lambda p, f: (
-        wire.PROV_REPLY_BLOBS,
-        {"blobs": p.fetch_incrementals(f["username"])},
-    ),
-    wire.PROV_NEXT_ATTEMPT: lambda p, f: (
-        wire.PROV_REPLY_COUNT,
-        {"value": p.next_attempt_number(f["username"])},
-    ),
-    wire.PROV_RESERVE_ATTEMPT: lambda p, f: (
-        wire.PROV_REPLY_COUNT,
-        {"value": p.reserve_attempt_number(f["username"])},
-    ),
-    wire.PROV_LOG_ATTEMPT: lambda p, f: (
-        wire.PROV_REPLY_LOGGED,
-        {
-            "identifier": p.log_recovery_attempt(
-                f["username"], f["attempt"], f["commitment"]
-            )
-        },
-    ),
-    wire.PROV_LOG_AND_PROVE: lambda p, f: (
-        wire.PROV_REPLY_PROVEN,
-        dict(
-            zip(
-                ("identifier", "proof"),
-                p.log_and_prove(f["username"], f["attempt"], f["commitment"]),
-            )
-        ),
-    ),
-    wire.PROV_PROVE_INCLUSION: lambda p, f: (
-        wire.PROV_REPLY_PROOF,
-        {"proof": p.prove_inclusion(f["identifier"], f["value"])},
-    ),
-    wire.PROV_SHARE_PHASE_DONE: lambda p, f: (
-        wire.PROV_REPLY_ACK,
-        _ack(p.share_phase_done(f["username"], f["attempt"])),
-    ),
-    wire.PROV_STORE_REPLY: lambda p, f: (
-        wire.PROV_REPLY_ACK,
-        _ack(p.store_reply(f["username"], f["attempt"], f["reply"])),
-    ),
-    wire.PROV_FETCH_REPLIES: lambda p, f: (
-        wire.PROV_REPLY_BLOBS,
-        {"blobs": p.fetch_replies(f["username"], f["attempt"])},
-    ),
-    wire.PROV_LIST_ATTEMPTS: lambda p, f: (
-        wire.PROV_REPLY_ENTRIES,
-        {"entries": p.recovery_attempts_for(f["username"])},
-    ),
-}
+def _reply_fields(kind: int, result) -> Dict:
+    """Pack a provider method's result into the reply kind's fields: no
+    field drops it, one field holds it, two fields unpack a pair."""
+    names = [name for name, _ in wire.PROVIDER_REPLY_SCHEMAS[kind]]
+    return dict(zip(names, result if len(names) > 1 else [result]))
 
 
-def _ack(_unused) -> Dict:
-    """Empty reply body for side-effect-only ops."""
-    return {}
+def _reply_value(fields: Dict):
+    """Inverse of :func:`_reply_fields` on decoded reply fields (which come
+    back in schema order): None, the one value, or a tuple."""
+    values = tuple(fields.values())
+    if len(values) > 1:
+        return values
+    return values[0] if values else None
 
 
 class WireProviderChannel(ProviderChannel):
@@ -453,8 +295,9 @@ class WireProviderChannel(ProviderChannel):
                 "bytes_received": self.bytes_received,
             }
 
-    def _call(self, op: int, fields: Dict, expected_kind: int) -> Dict:
-        request = wire.encode_provider_request(op, fields)
+    def _invoke(self, op: wire.ProviderOp, args: Tuple) -> Any:
+        fields = {name: value for (name, _), value in zip(op.request, args)}
+        request = wire.encode_provider_request(op.tag, fields)
         reply_bytes = self._transport(request)
         with self._counter_lock:
             self.frames_sent += 1
@@ -462,127 +305,47 @@ class WireProviderChannel(ProviderChannel):
             self.bytes_received += len(reply_bytes)
         kind, reply = wire.decode_provider_reply(reply_bytes)
         if kind == wire.PROV_REPLY_ERROR:
-            self._raise_error(reply["status"], reply["message"])
-        if kind != expected_kind:
+            if reply["status"] == wire.PROV_ERR_TIMEOUT:
+                raise ServiceTimeout(reply["message"])
+            raise ProviderError(reply["message"])
+        if kind != op.reply:
             raise wire.WireFormatError(
-                f"unexpected reply kind {kind} to provider op {op}"
+                f"unexpected reply kind {kind} to provider op {op.tag}"
             )
-        return reply
+        return _reply_value(reply)
 
-    @staticmethod
-    def _raise_error(status: int, message: str) -> None:
-        from repro.service.batcher import ServiceTimeout
 
-        if status == wire.PROV_ERR_TIMEOUT:
-            raise ServiceTimeout(message)
-        raise ProviderError(message)
+def _rpc_method(owner: type, op: wire.ProviderOp) -> Callable:
+    """The channel method for one op: bind the arguments against the op's
+    signature and pass them to ``self._invoke`` in schema order."""
+    names = ["self"] + [name for name, _ in op.request]
+    defaults = [inspect.Parameter.empty] * (len(names) - len(op.defaults)) + list(op.defaults)
+    signature = inspect.Signature([
+        inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default=default)
+        for name, default in zip(names, defaults)
+    ])
+    arity = len(names)
 
-    def upload_backup(self, username: str, ciphertext) -> int:
-        """Round-trip the upload through bytes; returns the stored index."""
-        return self._call(
-            wire.PROV_UPLOAD_BACKUP,
-            {"username": username, "ciphertext": ciphertext},
-            wire.PROV_REPLY_COUNT,
-        )["value"]
+    def method(*args, **kwargs):
+        if kwargs or len(args) != arity:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        return args[0]._invoke(op, args[1:])
 
-    def fetch_backup(self, username: str, index: int = -1):
-        """Fetch one recovery ciphertext as wire bytes and decode it."""
-        return self._call(
-            wire.PROV_FETCH_BACKUP,
-            {"username": username, "index": index},
-            wire.PROV_REPLY_BACKUP,
-        )["ciphertext"]
+    method.__name__ = op.method
+    method.__qualname__ = f"{owner.__name__}.{op.method}"
+    method.__signature__ = signature
+    method.__doc__ = f"Provider RPC ``{op.method}`` (request op {op.tag})."
+    return method
 
-    def backup_count(self, username: str) -> int:
-        """Ask how many backups the provider holds for a user."""
-        return self._call(
-            wire.PROV_BACKUP_COUNT, {"username": username}, wire.PROV_REPLY_COUNT
-        )["value"]
 
-    def upload_incremental(self, username: str, blob: bytes) -> None:
-        """Append one incremental blob over the wire."""
-        self._call(
-            wire.PROV_UPLOAD_INCREMENTAL,
-            {"username": username, "blob": blob},
-            wire.PROV_REPLY_ACK,
-        )
-
-    def fetch_incrementals(self, username: str) -> List[bytes]:
-        """Fetch every incremental blob over the wire."""
-        return self._call(
-            wire.PROV_FETCH_INCREMENTALS,
-            {"username": username},
-            wire.PROV_REPLY_BLOBS,
-        )["blobs"]
-
-    def next_attempt_number(self, username: str) -> int:
-        """Ask for the first unused attempt slot."""
-        return self._call(
-            wire.PROV_NEXT_ATTEMPT, {"username": username}, wire.PROV_REPLY_COUNT
-        )["value"]
-
-    def reserve_attempt_number(self, username: str) -> int:
-        """Atomically reserve the next attempt slot over the wire."""
-        return self._call(
-            wire.PROV_RESERVE_ATTEMPT, {"username": username}, wire.PROV_REPLY_COUNT
-        )["value"]
-
-    def log_recovery_attempt(
-        self, username: str, attempt: int, commitment: bytes
-    ) -> bytes:
-        """Queue a log insertion over the wire; returns its identifier."""
-        return self._call(
-            wire.PROV_LOG_ATTEMPT,
-            {"username": username, "attempt": attempt, "commitment": commitment},
-            wire.PROV_REPLY_LOGGED,
-        )["identifier"]
-
-    def log_and_prove(self, username: str, attempt: int, commitment: bytes):
-        """Insert + wait for an epoch; decodes ``(identifier, proof)``."""
-        reply = self._call(
-            wire.PROV_LOG_AND_PROVE,
-            {"username": username, "attempt": attempt, "commitment": commitment},
-            wire.PROV_REPLY_PROVEN,
-        )
-        return reply["identifier"], reply["proof"]
-
-    def prove_inclusion(self, identifier: bytes, value: bytes):
-        """Fetch a fresh proof (or None) through the tagged proof envelope."""
-        return self._call(
-            wire.PROV_PROVE_INCLUSION,
-            {"identifier": identifier, "value": value},
-            wire.PROV_REPLY_PROOF,
-        )["proof"]
-
-    def share_phase_done(self, username: str, attempt: int) -> None:
-        """Send the share-phase-done liveness hint as a frame."""
-        self._call(
-            wire.PROV_SHARE_PHASE_DONE,
-            {"username": username, "attempt": attempt},
-            wire.PROV_REPLY_ACK,
-        )
-
-    def store_reply(self, username: str, attempt: int, encrypted_reply: bytes) -> None:
-        """Escrow one encrypted HSM reply over the wire."""
-        self._call(
-            wire.PROV_STORE_REPLY,
-            {"username": username, "attempt": attempt, "reply": encrypted_reply},
-            wire.PROV_REPLY_ACK,
-        )
-
-    def fetch_replies(self, username: str, attempt: int) -> List[bytes]:
-        """Fetch the escrowed replies for one attempt over the wire."""
-        return self._call(
-            wire.PROV_FETCH_REPLIES,
-            {"username": username, "attempt": attempt},
-            wire.PROV_REPLY_BLOBS,
-        )["blobs"]
-
-    def recovery_attempts_for(self, username: str) -> List[Tuple[bytes, bytes]]:
-        """Fetch the user's logged attempts as (identifier, value) pairs."""
-        return self._call(
-            wire.PROV_LIST_ATTEMPTS, {"username": username}, wire.PROV_REPLY_ENTRIES
-        )["entries"]
+# Installed on each class (not only the base) so every transport owns its
+# methods and can be wrapped per class.
+for _owner in (ProviderChannel, DirectProviderChannel, WireProviderChannel):
+    for _op in wire.PROVIDER_OPS:
+        setattr(_owner, _op.method, _rpc_method(_owner, _op))
+del _owner, _op
 
 
 def provider_channel(provider, transport: str = "wire") -> ProviderChannel:

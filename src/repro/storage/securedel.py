@@ -23,7 +23,7 @@ tree, a ~4,423× throughput gap.
 from __future__ import annotations
 
 import secrets
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro import metering
 from repro.crypto.gcm import ae_decrypt, ae_encrypt
@@ -48,6 +48,8 @@ class SecureDeletionTree:
         self._store = store
         self.height = height
         self._root_key = root_key
+        #: (node writes, new root key) of a re-key not yet fully stored.
+        self._pending: Optional[Tuple[List[Tuple[int, bytes]], bytes]] = None
 
     # -- setup -----------------------------------------------------------------
     @staticmethod
@@ -95,6 +97,7 @@ class SecureDeletionTree:
         """Keys for every node on the root-to-leaf path (including leaf)."""
         if not (0 <= index < (1 << self.height)):
             raise IndexError("block index out of range")
+        self._settle()
         addrs = self._path_addrs(index)
         keys = [self._root_key]
         for depth, addr in enumerate(addrs[:-1]):
@@ -121,6 +124,7 @@ class SecureDeletionTree:
         """Securely delete block ``index`` and re-key the path to the root."""
         addrs = self._path_addrs(index)
         keys = self._decrypt_path(index)
+        writes: List[Tuple[int, bytes]] = []
 
         # Walk back up: at each internal node, replace the child key (either
         # freshly re-keyed, or zeroed at the leaf) and encrypt the node under
@@ -138,11 +142,22 @@ class SecureDeletionTree:
             else:
                 right_key = replacement
             fresh = secrets.token_bytes(KEY_LEN)
-            self._store.put(addr, ae_encrypt(fresh, left_key + right_key, aad=_addr_aad(addr)))
+            writes.append((addr, ae_encrypt(fresh, left_key + right_key, aad=_addr_aad(addr))))
             child_new_key = fresh
 
         assert child_new_key is not None
-        self._root_key = child_new_key
+        self._pending = (writes, child_new_key)
+        self._settle()
+
+    def _settle(self) -> None:
+        """Store a re-key's nodes (idempotent puts), and only then switch to
+        its root key: a store crash mid-write is finished on the next access
+        instead of leaving old and new keys mixed along a path."""
+        if self._pending is not None:
+            writes, root_key = self._pending
+            for addr, block in writes:
+                self._store.put(addr, block)
+            self._root_key, self._pending = root_key, None
 
     @property
     def root_key(self) -> bytes:

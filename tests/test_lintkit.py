@@ -185,15 +185,10 @@ PROV_REPLY_PONG = 1
 _FIELD_ENCODERS = {"text": None}
 _FIELD_DECODERS = {"text": None}
 
-PROVIDER_REQUEST_SCHEMAS = {PROV_PING: (("name", "text"),)}
+PROVIDER_OPS = (
+    ProviderOp(PROV_PING, "ping", (("name", "text"),), PROV_REPLY_PONG),
+)
 PROVIDER_REPLY_SCHEMAS = {PROV_REPLY_PONG: (("name", "text"),)}
-'''
-
-CHANNEL_OK = '''
-"""Mini channel module."""
-import wire
-
-_PROVIDER_RPC_HANDLERS = {wire.PROV_PING: None}
 '''
 
 TESTS_OK = '''
@@ -205,10 +200,18 @@ DOCS_OK = "| `PROV_PING` | name | `PONG` |\n"
 
 _WIRE_LAYOUT = {
     "src/repro/core/wire.py": WIRE_OK,
-    "src/repro/service/channel.py": CHANNEL_OK,
     "tests/test_wire_properties.py": TESTS_OK,
     "docs/ARCHITECTURE.md": DOCS_OK,
 }
+
+
+def _wire_messages(tmp_path, wire_source, docs=DOCS_OK):
+    files = dict(_WIRE_LAYOUT)
+    files["src/repro/core/wire.py"] = wire_source
+    files["docs/ARCHITECTURE.md"] = docs
+    report = run_passes(make_ctx(tmp_path, files), [WireSchemaPass()])
+    assert {f.rule for f in report.findings} == {"wire-schema"}
+    return " ".join(f.message for f in report.findings)
 
 
 def test_wire_schema_accepts_complete_catalog(tmp_path):
@@ -218,38 +221,38 @@ def test_wire_schema_accepts_complete_catalog(tmp_path):
 
 
 def test_wire_schema_catches_orphan_tag(tmp_path):
-    files = dict(_WIRE_LAYOUT)
-    # PROV_ORPHAN: no schema, no dispatch arm, no docs row.
-    files["src/repro/core/wire.py"] = WIRE_OK + "PROV_ORPHAN = 2\n"
-    ctx = make_ctx(tmp_path, files)
-    report = run_passes(ctx, [WireSchemaPass()])
-    messages = " ".join(f.message for f in report.findings)
-    assert {f.rule for f in report.findings} == {"wire-schema"}
-    assert "no body schema" in messages
-    assert "no dispatch arm" in messages
-    assert "no catalog row" in messages
+    # PROV_ORPHAN: no PROVIDER_OPS row, no docs row.
+    messages = _wire_messages(tmp_path, WIRE_OK + "PROV_ORPHAN = 2\n")
+    assert "PROV_ORPHAN has no PROVIDER_OPS row" in messages
+    assert "PROV_ORPHAN has no catalog row" in messages
 
 
 def test_wire_schema_catches_duplicate_value_and_missing_strategy(tmp_path):
-    files = dict(_WIRE_LAYOUT)
-    files["src/repro/core/wire.py"] = WIRE_OK.replace(
-        'PROVIDER_REQUEST_SCHEMAS = {PROV_PING: (("name", "text"),)}',
+    wire_source = WIRE_OK.replace(
+        "PROVIDER_OPS = (\n",
         "PROV_PING2 = 1\n"
-        "PROVIDER_REQUEST_SCHEMAS = {\n"
-        '    PROV_PING: (("name", "text"),),\n'
-        '    PROV_PING2: (("payload", "blob"),),\n'
-        "}",
+        "PROVIDER_OPS = (\n"
+        '    ProviderOp(PROV_PING2, "ping2", (("payload", "blob"),), PROV_REPLY_PONG),\n',
     )
-    files["src/repro/service/channel.py"] = CHANNEL_OK.replace(
-        "{wire.PROV_PING: None}", "{wire.PROV_PING: None, wire.PROV_PING2: None}"
+    messages = _wire_messages(
+        tmp_path, wire_source, DOCS_OK + "| `PROV_PING2` | payload | `PONG` |\n"
     )
-    files["docs/ARCHITECTURE.md"] = DOCS_OK + "| `PROV_PING2` | payload | `PONG` |\n"
-    ctx = make_ctx(tmp_path, files)
-    report = run_passes(ctx, [WireSchemaPass()])
-    messages = " ".join(f.message for f in report.findings)
     assert "reuses tag value 1" in messages
     assert "'blob' has no hypothesis strategy" in messages
     assert "'blob' has no entry in _FIELD_ENCODERS" in messages
+
+
+def test_wire_schema_catches_duplicate_row_and_unlisted_error_status(tmp_path):
+    wire_source = WIRE_OK.replace(
+        "PROVIDER_OPS = (\n",
+        "PROV_ERR_LOST = 1\n"
+        "_PROVIDER_ERROR_STATUSES = ()\n"
+        "PROVIDER_OPS = (\n"
+        '    ProviderOp(PROV_PING, "ping", (("name", "text"),), PROV_REPLY_PONG),\n',
+    )
+    messages = _wire_messages(tmp_path, wire_source)
+    assert "PROV_PING has 2 PROVIDER_OPS rows" in messages
+    assert "PROV_ERR_LOST is missing from _PROVIDER_ERROR_STATUSES" in messages
 
 
 # ---------------------------------------------------------------------------

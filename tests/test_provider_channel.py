@@ -4,8 +4,10 @@ wire-vs-direct equivalence acceptance property.
 The untrusted provider is a *network service*: every interaction of the
 client's provider leg (backup storage, attempt logging, proof refresh,
 reply escrow) crosses ``core/wire`` frames through a ``ProviderChannel``.
-These tests pin three contracts:
+These tests pin four contracts:
 
+- every ``wire.PROVIDER_OPS`` row matches the provider methods it calls,
+  and both transports deliver its arguments and reply identically;
 - each RPC method round-trips through the in-memory byte loopback;
 - failures cross the boundary as typed error frames (``ProviderError`` /
   ``ServiceTimeout`` client-side) — never a raw ``KeyError`` /
@@ -15,6 +17,7 @@ These tests pin three contracts:
   same log digest, same log entries, same plaintexts.
 """
 
+import inspect
 import random
 import secrets
 
@@ -26,13 +29,16 @@ from repro.core.lhe import LheCiphertext
 from repro.core.params import SystemParams
 from repro.core.protocol import Deployment
 from repro.core.provider import ProviderError, ServiceProvider
+from repro.log.authdict import InclusionProof, PathStep
 from repro.metering import OpMeter
 from repro.service.batcher import ServiceTimeout
 from repro.service.channel import (
     DirectProviderChannel,
+    ProviderChannel,
     ProviderWireEndpoint,
     WireProviderChannel,
 )
+from repro.service.recovery import BatchedProviderFacade
 
 
 def _loopback(provider) -> WireProviderChannel:
@@ -48,6 +54,81 @@ def _ciphertext(tag: bytes = b"ct") -> LheCiphertext:
         threshold=2,
         num_hsms=4,
     )
+
+
+_PROOF = InclusionProof(
+    steps=(PathStep(idh=b"h", value=b"v", other=b"o"),), left=b"l", right=b"r"
+)
+
+#: One encodable argument per request field kind.
+_ARGS = {"text": "op-user", "blob": b"op-blob", "u32": 3, "i32": 1,
+         "recovery_ct": _ciphertext(b"op")}
+
+#: One encodable provider result per reply kind.
+_RESULTS = {
+    wire.PROV_REPLY_ACK: None,
+    wire.PROV_REPLY_COUNT: 7,
+    wire.PROV_REPLY_BACKUP: _ciphertext(b"stored"),
+    wire.PROV_REPLY_BLOBS: [b"b0", b"b1"],
+    wire.PROV_REPLY_PROOF: _PROOF,
+    wire.PROV_REPLY_PROVEN: (b"identifier", _PROOF),
+    wire.PROV_REPLY_ENTRIES: [(b"id0", b"v0"), (b"id1", b"v1")],
+    wire.PROV_REPLY_LOGGED: b"identifier",
+}
+
+
+class _RecordingProvider:
+    """Answers every op with the canned result for its reply kind and
+    records the arguments each call delivered."""
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def __getattr__(self, method):
+        op = next(op for op in wire.PROVIDER_OPS if op.method == method)
+
+        def record(*args):
+            self.calls.append((method, args))
+            return _RESULTS[op.reply]
+
+        return record
+
+
+class TestOpTableContract:
+    """``wire.PROVIDER_OPS`` is the only copy of the surface, so each row is
+    checked against the provider methods and both transports here."""
+
+    @pytest.mark.parametrize("op", wire.PROVIDER_OPS, ids=lambda op: op.method)
+    def test_provider_methods_take_the_rows_arguments(self, op):
+        owners = [ServiceProvider]
+        if op.method in vars(BatchedProviderFacade):
+            owners.append(BatchedProviderFacade)
+        for owner in owners:
+            params = list(inspect.signature(getattr(owner, op.method)).parameters.values())
+            assert params[0].name == "self"
+            params = params[1:]
+            assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), owner
+            assert len(params) == len(op.request), owner
+            defaults = tuple(p.default for p in params if p.default is not p.empty)
+            assert defaults == op.defaults, owner
+
+    @pytest.mark.parametrize("op", wire.PROVIDER_OPS, ids=lambda op: op.method)
+    def test_direct_and_wire_deliver_and_return_the_same(self, op):
+        given = [_ARGS[kind] for _, kind in op.request[: len(op.request) - len(op.defaults)]]
+        outcomes = []
+        for make in (DirectProviderChannel, _loopback):
+            provider = _RecordingProvider()
+            result = getattr(make(provider), op.method)(*given)
+            outcomes.append((provider.calls, result))
+        assert outcomes[0] == outcomes[1]
+        calls, result = outcomes[0]
+        assert calls == [(op.method, tuple(given) + op.defaults)]
+        assert result == _RESULTS[op.reply]
+
+    def test_every_channel_class_owns_every_op_method(self):
+        for owner in (ProviderChannel, DirectProviderChannel, WireProviderChannel):
+            for op in wire.PROVIDER_OPS:
+                assert op.method in vars(owner), (owner, op.method)
 
 
 class TestLoopbackRoundTrips:

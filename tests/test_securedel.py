@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.gcm import AuthenticationError
-from repro.storage.blockstore import InMemoryBlockStore, TamperingBlockStore
+from repro.storage.blockstore import (
+    CrashError,
+    CrashingBlockStore,
+    InMemoryBlockStore,
+    TamperingBlockStore,
+)
 from repro.storage.securedel import (
     DeletedBlockError,
     NaiveSecureStore,
@@ -67,6 +72,21 @@ class TestDeletion:
         before = tree.root_key
         tree.delete(0)
         assert tree.root_key != before
+
+    def test_delete_interrupted_by_a_store_crash_completes_on_next_access(self):
+        # The provider hosting the key array dies after the first node of
+        # the re-keyed path is written; the device survives, and once the
+        # store is back every read sees one consistent tree.
+        store = CrashingBlockStore()
+        tree, blocks, _ = make_tree(8, store)
+        store.crash_after(1)
+        with pytest.raises(CrashError):
+            tree.delete(3)
+        store.crash_after(1 << 20)
+        for i in (0, 2, 4, 7):
+            assert tree.read(i) == blocks[i]
+        with pytest.raises(DeletedBlockError):
+            tree.read(3)
 
     def test_delete_all(self):
         tree, blocks, _ = make_tree(4)
